@@ -20,7 +20,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -41,11 +40,6 @@ import (
 // It is the container package's KV so a consumed queue batch can be handed
 // to Container.UpdateBatch without repacking.
 type pair[K comparable, V any] = container.KV[K, V]
-
-// combinerIdle is how long a combiner sleeps when one full polling round
-// over its assigned queues consumed nothing; long enough to free the SMT
-// sibling for its mapper, short enough not to add visible latency.
-const combinerIdle = 20 * time.Microsecond
 
 // Run executes the job with the RAMR strategy under cfg. The thread
 // budget is cfg.Mappers map workers plus cfg.NumCombiners() combine
@@ -77,7 +71,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	mappers := cfg.Mappers
 	combiners := cfg.NumCombiners()
 	machine := cfg.ResolveMachine()
-	if err := validateGrant(machine, cfg.CPUGrant); err != nil {
+	if err := ValidateGrant(machine, cfg.CPUGrant); err != nil {
 		return nil, err
 	}
 
@@ -85,11 +79,11 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	// container set are sized for the pool's ceiling so combiners added
 	// mid-run have a pinned CPU and a private container waiting. With it
 	// nil everything below collapses to the static sizes.
-	tcfg := cfg.Tuner
 	maxCombiners := combiners
-	var tunerCfg tuner.Config
-	if tcfg != nil {
-		tunerCfg = resolveTuner(*tcfg, mappers, cfg.QueueCapacity)
+	var tunerCfg *tuner.Config
+	if cfg.Tuner != nil {
+		resolved := ResolveTuner(*cfg.Tuner, mappers, cfg.QueueCapacity)
+		tunerCfg = &resolved
 		// A CPU grant is a hard worker budget: the elastic pool may
 		// never grow past what the grant can host alongside the mappers,
 		// or a tuned job would spill onto CPUs granted to someone else.
@@ -123,7 +117,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	// private telemetry when the user configured none (no report is
 	// attached then).
 	tel := cfg.Telemetry
-	if tel == nil && tcfg != nil {
+	if tel == nil && tunerCfg != nil {
 		tel = telemetry.New()
 	}
 	if tel != nil {
@@ -134,10 +128,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	// --- Init: pools, queues, containers, pinning plan (Fig. 2 top). ---
 	t0 := time.Now()
 	queues := make([]*spsc.Queue[pair[K, V]], mappers)
-	var mirrors []*telemetry.QueueMirror
-	if tel != nil {
-		mirrors = make([]*telemetry.QueueMirror, mappers)
-	}
+	mirrors := make([]*telemetry.QueueMirror, mappers) // nil entries without telemetry
 	for i := range queues {
 		q, err := spsc.New[pair[K, V]](cfg.QueueCapacity, cfg.Wait)
 		if err != nil {
@@ -152,15 +143,10 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	for j := range containers {
 		containers[j] = spec.NewContainer()
 	}
-	// A batch larger than the ring could never fill while a producer is
-	// blocked on a full queue, deadlocking the pipeline; clamp it.
-	batch := cfg.BatchSize
-	if c := queues[0].Cap(); batch > c {
-		batch = c
-	}
-	// The emit slab gets the same clamp: PushBatch copies oversized
-	// blocks in chunks anyway, but a slab beyond the ring capacity only
-	// adds latency before the combiner sees anything.
+	// The emit slab is clamped to the ring capacity like the consume
+	// batch: PushBatch copies oversized blocks in chunks anyway, but a
+	// slab beyond the ring capacity only adds latency before the combiner
+	// sees anything.
 	emitBatch := cfg.EmitBatch
 	if emitBatch <= 0 {
 		emitBatch = mr.DefaultEmitBatch
@@ -197,7 +183,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	// its queues (discarding) so blocked producers can finish, and the
 	// abort flag stops further task dispatch.
 	t0 = time.Now()
-	var mapWG, combWG sync.WaitGroup
+	var mapWG sync.WaitGroup
 	var firstErr mr.FirstError
 	var abort atomic.Bool
 	// trip raises the abort flag; the OnAbort hook fires only for the
@@ -365,168 +351,46 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		}(i)
 	}
 
-	// Combiner pool: the static path when the tuner is off (identical to
-	// every prior release), the elastic pool + controller driver when on.
-	var driver *tunerDriver
-	if tcfg != nil {
-		driver = startElastic(&elasticArgs[K, V]{
-			ctx:        ctx,
-			cfg:        cfg,
-			tcfg:       tunerCfg,
-			queues:     queues,
-			mirrors:    mirrors,
-			containers: containers,
-			combine:    spec.Combine,
-			plan:       plan,
-			order:      localityOrder(mapperGroup),
-			initial:    combiners,
-			batch:      batch,
-			tel:        tel,
-			abort:      &abort,
-			trip:       trip,
-			firstErr:   &firstErr,
-			wg:         &combWG,
-		})
+	// Combiner pool: one slot per container. Untuned it stays at the
+	// static size with QueueAssignment's split; tuned, the driver resizes
+	// it within the resolved bounds.
+	folds := make([]func([]pair[K, V]), maxCombiners)
+	for j := range folds {
+		c := containers[j]
+		folds[j] = func(b []pair[K, V]) { c.UpdateBatch(b, spec.Combine) }
 	}
-	assign := QueueAssignment(mappers, combiners)
-	for j := 0; tcfg == nil && j < combiners; j++ {
-		combWG.Add(1)
-		go func(j int) {
-			defer combWG.Done()
-			labels := pprof.Labels("engine", "ramr", "role", "combiner", "worker", strconv.Itoa(j))
-			pprof.Do(ctx, labels, func(context.Context) {
-				mine := queues[assign[j][0]:assign[j][1]]
-				var tw *telemetry.Worker
-				if tel != nil {
-					tw = tel.RegisterWorker("combiner", j)
-				}
-				defer tw.SetState(telemetry.StateDone)
-				defer func() {
-					if r := recover(); r == nil {
-						return
-					} else {
-						firstErr.Set(&mr.PanicError{Engine: "ramr", Worker: fmt.Sprintf("combine worker %d", j), Value: r})
-						trip()
-					}
-					// Keep draining (and discarding) so producers blocked
-					// on full rings can run to completion.
-					drainDiscard(mine, batch)
-				}()
-				if cpu := plan.CombinerCPU[j]; cpu >= 0 && affinity.Supported() {
-					unpin, _ := affinity.PinSelf(cpu)
-					defer unpin()
-				}
-				var shard *trace.Shard
-				if cfg.Trace != nil {
-					shard = cfg.Trace.Shard(fmt.Sprintf("combiner-%d", j))
-				}
-				c := containers[j]
-				apply := func(batch []pair[K, V]) {
-					c.UpdateBatch(batch, spec.Combine)
-				}
-				if tw != nil {
-					inner := apply
-					apply = func(batch []pair[K, V]) {
-						tw.AddCombined(len(batch))
-						tw.AddBatches(1)
-						inner(batch)
-					}
-				}
-				var drainHook func(int)
-				if hk := cfg.Hooks; hk != nil {
-					drainHook = hk.CombineDrain
-					if hk.CombineBatch != nil {
-						inner := apply
-						apply = func(batch []pair[K, V]) {
-							hk.CombineBatch(j)
-							inner(batch)
-						}
-					}
-				}
-				// state stores only on transitions so a polling round
-				// costs no atomic traffic while the state is stable.
-				curState := telemetry.StateIdle
-				setState := func(s telemetry.State) {
-					if s != curState {
-						curState = s
-						tw.SetState(s)
-					}
-				}
-				draining := false
-				idleRounds := 0
-				for {
-					// Once another worker tripped abort the run is
-					// doomed: stop feeding user Combine and switch to
-					// drain-and-discard so producers blocked on full
-					// rings unwedge without burning user-code cycles.
-					if abort.Load() {
-						drainDiscard(mine, batch)
-						return
-					}
-					var end func()
-					if shard != nil {
-						end = shard.Span("consume", nil)
-					}
-					consumed, alive := 0, false
-					for _, q := range mine {
-						if q.Drained() {
-							continue
-						}
-						alive = true
-						// While the producer is live, wait for full
-						// blocks; once it closed, force-drain the tail.
-						closed := q.Closed()
-						if closed && !draining {
-							draining = true
-							if drainHook != nil {
-								drainHook(j)
-							}
-						}
-						consumed += q.ConsumeBatch(batch, closed, apply)
-					}
-					if end != nil {
-						if consumed > 0 {
-							end()
-						}
-					}
-					if !alive {
-						return
-					}
-					if consumed == 0 {
-						idleRounds++
-						setState(telemetry.StateIdle)
-						if idleRounds < 4 {
-							runtime.Gosched()
-						} else {
-							time.Sleep(combinerIdle)
-						}
-					} else {
-						idleRounds = 0
-						if draining {
-							setState(telemetry.StateDraining)
-						} else {
-							setState(telemetry.StateWorking)
-						}
-					}
-				}
-			})
-		}(j)
-	}
+	pool := StartCombiners(CombinerArgs[pair[K, V]]{
+		Ctx:     ctx,
+		Engine:  "ramr",
+		Queues:  queues,
+		Mirrors: mirrors,
+		Folds:   folds,
+		Initial: combiners,
+		Batch:   cfg.BatchSize,
+		Tuner:   tunerCfg,
+		Plan:    plan,
+		Tel:     tel,
+		Hooks:   cfg.Hooks,
+		Trace:   cfg.Trace,
+		Abort:   &abort,
+		Fail: func(err error) {
+			firstErr.Set(err)
+			trip()
+		},
+	})
 
 	mapWG.Wait()
-	combWG.Wait()
+	pool.Wait()
 	res.Phases.MapCombine = time.Since(t0)
 	// Every mapper's fold happened-before mapWG.Wait returned, so the
 	// aggregate is stable here without further synchronization.
 	stealMu.Lock()
 	res.Steal = stealAgg
 	stealMu.Unlock()
-	if driver != nil {
-		// Fence the driver before reading its report (and before any
-		// error return): no controller step can be in flight after stop.
-		driver.stop()
-		res.TunerReport = driver.report()
-	}
+	// Fence the driver before reading its report (and before any error
+	// return): no controller step can be in flight after StopTuner.
+	pool.StopTuner()
+	res.TunerReport = pool.TunerReport()
 	// The invariant observer and the pre-reduce hook run before the
 	// error checks: a failed run must still report per-queue drain state,
 	// and a cancellation injected at the pre-reduce point must still be
@@ -577,11 +441,11 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	return res, nil
 }
 
-// validateGrant checks a CPU grant against the resolved machine: every id
+// ValidateGrant checks a CPU grant against the resolved machine: every id
 // must name an existing logical CPU. Uniqueness and sign were already
 // enforced by Config.Validate; this is the machine-dependent half, checked
 // once per run before any resource is allocated.
-func validateGrant(machine *topology.Machine, grant []int) error {
+func ValidateGrant(machine *topology.Machine, grant []int) error {
 	n := machine.NumCPUs()
 	for _, cpu := range grant {
 		if cpu >= n {
@@ -589,28 +453,6 @@ func validateGrant(machine *topology.Machine, grant []int) error {
 		}
 	}
 	return nil
-}
-
-// drainDiscard empties every queue in qs without touching user code,
-// looping until all are drained. This is the abort path's release valve:
-// a producer blocked on a full ring is freed only by its consumer, so a
-// doomed combiner must keep popping — and discarding — until every one of
-// its producers has finished its in-flight task and closed.
-func drainDiscard[K comparable, V any](qs []*spsc.Queue[pair[K, V]], batch int) {
-	for {
-		done := true
-		for _, q := range qs {
-			if q.Drained() {
-				continue
-			}
-			done = false
-			q.DiscardBatch(batch)
-		}
-		if done {
-			return
-		}
-		runtime.Gosched()
-	}
 }
 
 // mapperGroups assigns each mapper the locality-group index it draws

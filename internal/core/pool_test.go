@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,17 +25,9 @@ func closedQueues(n int) []*spsc.Queue[pair[int, int]] {
 	return qs
 }
 
-func ident(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
 // checkPartition asserts every live queue is owned by exactly one slot
 // and no slot beyond active owns anything.
-func checkPartition[K comparable, V any](t *testing.T, p *elasticPool[K, V]) {
+func checkPartition[T any](t *testing.T, p *combinerPool[T]) {
 	t.Helper()
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -64,7 +58,7 @@ func checkPartition[K comparable, V any](t *testing.T, p *elasticPool[K, V]) {
 // done gate must close only when the last queue retires.
 func TestElasticPoolPartition(t *testing.T) {
 	qs := closedQueues(7)
-	p := newElasticPool(qs, ident(7), 4, 2, false, nil)
+	p := newCombinerPool(qs, 4, 2, false, nil)
 	checkPartition(t, p)
 
 	for _, n := range []int{4, 1, 3, 4, 2} {
@@ -109,7 +103,7 @@ func TestElasticPoolRetireRequiresDrained(t *testing.T) {
 	qs := closedQueues(2)
 	qs[0].Push(pair[int, int]{K: 1, V: 1})
 	qs[0].Close() // closed but non-empty: not drained
-	p := newElasticPool(qs, ident(2), 2, 2, false, nil)
+	p := newCombinerPool(qs, 2, 2, false, nil)
 	p.retire(0)
 	if p.retired[0] {
 		t.Fatal("undrained queue retired")
@@ -124,7 +118,7 @@ func TestElasticPoolGuards(t *testing.T) {
 	qs := closedQueues(1)
 	var got [3]int
 	fired := 0
-	p := newElasticPool(qs, ident(1), 2, 1, true, func(q, h, c int) {
+	p := newCombinerPool(qs, 2, 1, true, func(q, h, c int) {
 		got = [3]int{q, h, c}
 		fired++
 	})
@@ -144,44 +138,75 @@ func TestElasticPoolGuards(t *testing.T) {
 	p.release(0)
 }
 
-// TestLocalityOrder: queues sort by locality group, stable within one.
-func TestLocalityOrder(t *testing.T) {
-	got := localityOrder([]int{1, 0, 1, 0, 2, 0})
-	want := []int{1, 3, 5, 0, 2, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("localityOrder = %v, want %v", got, want)
+// TestCombinerPoolInitialSplit: before any resize the pool's slots are
+// exactly QueueAssignment's ranges in mapper order — the ranges the
+// pinning plan placed each combiner beside — for every 1 <= C <= M <= 16.
+func TestCombinerPoolInitialSplit(t *testing.T) {
+	for m := 1; m <= 16; m++ {
+		qs := closedQueues(m)
+		for c := 1; c <= m; c++ {
+			p := newCombinerPool(qs, c, c, false, nil)
+			for j, rng := range QueueAssignment(m, c) {
+				want := make([]int, 0, rng[1]-rng[0])
+				for qi := rng[0]; qi < rng[1]; qi++ {
+					want = append(want, qi)
+				}
+				if !slices.Equal(p.slots[j], want) {
+					t.Fatalf("M=%d C=%d: slot %d owns %v, QueueAssignment gives %v", m, c, j, p.slots[j], want)
+				}
+			}
 		}
 	}
 }
 
-// TestElasticRunCorrectness: a tuned run (controller active, private
-// telemetry) must produce exactly the static result, attach a
-// TunerReport, and not attach a telemetry report the user never asked
-// for.
-func TestElasticRunCorrectness(t *testing.T) {
-	spec := countSpec(60, 50, 23)
-	cfg := testConfig()
-	cfg.Tuner = &tuner.Config{Seed: 1}
-	res, err := Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestCombinerPoolRunCorrectness: every way the pool runs — untuned or
+// tuned (controller active, private telemetry), with or without Hooks
+// arming the single-consumer guards, across M:C shapes that split
+// unevenly — must produce exactly the sequentially computed result with
+// exact conservation, attach a TunerReport only when tuned, and never
+// attach a telemetry report the user did not ask for.
+func TestCombinerPoolRunCorrectness(t *testing.T) {
+	const splits, emits, keys = 60, 50, 23
+	spec := countSpec(splits, emits, keys)
+	want := make([]mr.Pair[int, int], keys)
+	for k := range want {
+		want[k].Key = k
 	}
-	total := 0
-	for _, p := range res.Pairs {
-		total += p.Value
+	for e := 0; e < splits*emits; e++ {
+		want[e%keys].Value++
 	}
-	if total != 60*50 {
-		t.Fatalf("total = %d, want %d", total, 60*50)
-	}
-	if res.QueueStats.Pushes != uint64(60*50) || res.QueueStats.Pushes != res.QueueStats.Pops {
-		t.Fatalf("queue stats: %+v", res.QueueStats)
-	}
-	if res.TunerReport == nil {
-		t.Fatal("tuned run attached no TunerReport")
-	}
-	if res.Telemetry != nil {
-		t.Fatal("private tuner telemetry leaked into Result.Telemetry")
+	for _, shape := range [][2]int{{3, 2}, {5, 3}, {7, 2}} {
+		for _, tuned := range []bool{false, true} {
+			for _, hooked := range []bool{false, true} {
+				name := fmt.Sprintf("M%d:C%d/tuned=%v/hooks=%v", shape[0], shape[1], tuned, hooked)
+				t.Run(name, func(t *testing.T) {
+					cfg := testConfig()
+					cfg.Mappers, cfg.Combiners = shape[0], shape[1]
+					if tuned {
+						cfg.Tuner = &tuner.Config{Seed: 1}
+					}
+					if hooked {
+						cfg.Hooks = &mr.Hooks{CombineBatch: func(int) {}}
+					}
+					res, err := Run(spec, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(res.Pairs, want) {
+						t.Fatalf("pairs differ from the sequential count:\n got %v\nwant %v", res.Pairs, want)
+					}
+					if res.QueueStats.Pushes != splits*emits || res.QueueStats.Pushes != res.QueueStats.Pops {
+						t.Fatalf("queue stats: %+v", res.QueueStats)
+					}
+					if (res.TunerReport != nil) != tuned {
+						t.Fatalf("TunerReport = %v for tuned=%v", res.TunerReport, tuned)
+					}
+					if res.Telemetry != nil {
+						t.Fatal("private tuner telemetry leaked into Result.Telemetry")
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -231,7 +256,7 @@ func TestElasticScheduleChurn(t *testing.T) {
 }
 
 // TestNilTunerSurface: with Tuner nil nothing tuner-related appears on
-// the result — the static path contract.
+// the result — the untuned pool contract.
 func TestNilTunerSurface(t *testing.T) {
 	res, err := Run(countSpec(10, 20, 7), testConfig())
 	if err != nil {

@@ -1,10 +1,18 @@
 package faultinject
 
 import (
+	"context"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"ramr/internal/container"
+	"ramr/internal/core"
+	"ramr/internal/mr"
 	"ramr/internal/spsc"
+	"ramr/internal/stream"
+	"ramr/internal/topology"
 )
 
 func TestNewPlanDeterministic(t *testing.T) {
@@ -120,4 +128,110 @@ func TestWorkerStacksFindsQueueWaiter(t *testing.T) {
 	if leaked := AwaitNoWorkers(5 * time.Second); len(leaked) > 0 {
 		t.Fatalf("worker still reported after release:\n%s", leaked[0])
 	}
+}
+
+// parkCombiner blocks a combiner inside Hooks.CombineBatch until release
+// closes; its frame marks the blocked goroutine's stack.
+func parkCombiner(entered *sync.Once, in, release chan struct{}) {
+	entered.Do(func() { close(in) })
+	<-release
+}
+
+// awaitParkedCombiner waits until a combiner is parked in parkCombiner
+// and asserts WorkerStacks reports it through one of core's pool sites:
+// the ring frame under the hook matches the spsc site too, so only a core
+// site proves a renamed pool function has not gone unlisted.
+func awaitParkedCombiner(t *testing.T, in chan struct{}) {
+	t.Helper()
+	select {
+	case <-in:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no combiner entered the CombineBatch hook")
+	}
+	for _, block := range WorkerStacks() {
+		if !strings.Contains(block, "faultinject.parkCombiner") {
+			continue
+		}
+		for _, site := range workerSites {
+			if strings.HasPrefix(site, "ramr/internal/core.") && strings.Contains(block, site) {
+				return
+			}
+		}
+		t.Fatalf("parked combiner matched no core pool site:\n%s", block)
+	}
+	t.Fatal("combiner blocked in CombineBatch not visible in WorkerStacks")
+}
+
+// TestWorkerStacksFindsBlockedCombiner: a combiner blocked in user code
+// must stay visible to the leak check, for a RAMR run and for a stream
+// session alike — both run on core's combiner pool.
+func TestWorkerStacksFindsBlockedCombiner(t *testing.T) {
+	const keys = 8
+	newSpec := func() *mr.Spec[int, int, int, int] {
+		return &mr.Spec[int, int, int, int]{
+			Name:   "count",
+			Splits: []int{0, 1, 2, 3},
+			Map: func(s int, emit func(int, int)) {
+				for e := 0; e < 100; e++ {
+					emit((s+e)%keys, 1)
+				}
+			},
+			Combine:      func(a, b int) int { return a + b },
+			Reduce:       mr.IdentityReduce[int, int](),
+			NewContainer: func() container.Container[int, int] { return container.NewFixedArray[int](keys) },
+			Less:         func(a, b int) bool { return a < b },
+		}
+	}
+	newConfig := func(in, release chan struct{}) mr.Config {
+		cfg := mr.DefaultConfig()
+		cfg.Mappers, cfg.Combiners = 2, 1
+		cfg.Machine = topology.Flat(4)
+		cfg.Pin = mr.PinNone
+		var entered sync.Once
+		cfg.Hooks = &mr.Hooks{CombineBatch: func(int) { parkCombiner(&entered, in, release) }}
+		return cfg
+	}
+
+	t.Run("ramr", func(t *testing.T) {
+		in, release := make(chan struct{}), make(chan struct{})
+		errc := make(chan error, 1)
+		go func() {
+			_, err := core.Run(newSpec(), newConfig(in, release))
+			errc <- err
+		}()
+		awaitParkedCombiner(t, in)
+		close(release)
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if leaked := AwaitNoWorkers(5 * time.Second); len(leaked) > 0 {
+			t.Fatalf("worker still reported after the run:\n%s", leaked[0])
+		}
+	})
+
+	t.Run("stream", func(t *testing.T) {
+		in, release := make(chan struct{}), make(chan struct{})
+		cfg := newConfig(in, release)
+		cfg.Stream = &mr.StreamSpec{Window: 1}
+		p, err := stream.New(newSpec(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Append(stream.Chunk[int]{Ts: 0, Splits: []int{0, 1}}); err != nil {
+			t.Fatal(err)
+		}
+		awaitParkedCombiner(t, in)
+		close(release)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := p.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if leaked := AwaitNoWorkers(5 * time.Second); len(leaked) > 0 {
+			t.Fatalf("worker still reported after close:\n%s", leaked[0])
+		}
+	})
 }

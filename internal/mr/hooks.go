@@ -21,10 +21,11 @@ type Hooks struct {
 	// MapEmit runs before each emitted pair is staged or pushed.
 	MapEmit func(worker int)
 	// CombineBatch runs before a combiner folds one consumed segment
-	// into its container (RAMR engine only).
+	// into its container (RAMR runs and stream sessions).
 	CombineBatch func(worker int)
 	// CombineDrain runs once per combiner when it first observes a
-	// closed queue and enters the force-drain tail (RAMR engine only).
+	// closed queue and enters the force-drain tail (RAMR runs and stream
+	// sessions).
 	CombineDrain func(worker int)
 	// PreReduce runs on the coordinating goroutine after the
 	// map-combine barrier, before the run's error checks — a

@@ -6,15 +6,15 @@
 // The batch engine's building blocks are reused wholesale — per-mapper
 // SPSC rings with slab emit (internal/spsc), private combiner containers
 // (internal/container), the contention-aware pinning plan
-// (core.BuildPlanOn) and the locality queue split (core.QueueAssignment),
-// live telemetry and the AIMD tuner — but the lifecycle inverts: instead
-// of "partition once, run to drain, merge once", mappers block on a task
-// channel fed by Append, combiners fold into per-pane containers keyed by
-// event time, and a sealer goroutine merges, reduces and publishes each
-// window the moment the watermark passes it. In-node combining is what
-// makes this cheap: the combiner container already is an incremental
-// cache of the window's state, so a seal only merges C small containers,
-// never replays input.
+// (core.BuildPlanOn), and core's combiner pool and tuner driver
+// (core.StartCombiners), live telemetry included — but the lifecycle
+// inverts: instead of "partition once, run to drain, merge once", mappers
+// block on a task channel fed by Append, combiners fold into per-pane
+// containers keyed by event time, and a sealer goroutine merges, reduces
+// and publishes each window the moment the watermark passes it. In-node
+// combining is what makes this cheap: the combiner container already is
+// an incremental cache of the window's state, so a seal only merges C
+// small containers, never replays input.
 //
 // Windowing model (see DESIGN.md §14): every chunk carries an event-time
 // tick; window n covers ticks [n*Slide, n*Slide+Window); state is sliced
@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -44,6 +43,7 @@ import (
 	"ramr/internal/mr"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
+	"ramr/internal/tuner"
 )
 
 // TsAuto asks Append to assign the next tick after the highest seen.
@@ -194,12 +194,9 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	combiners int
 	plan      core.Plan
 	queues    []*spsc.Queue[streamPair[K, V]]
-	mirrors   []*telemetry.QueueMirror
 	combs     []*combinerState[K, V]
 	tel       *telemetry.Telemetry
-	ownTel    bool
-	batchA    atomic.Int64
-	driver    *streamTuner
+	pool      *core.Combiners
 
 	// OnSeal, when set before Start, is invoked from the sealer
 	// goroutine after each window is published (service wires per-window
@@ -236,7 +233,6 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	flushing   atomic.Bool
 	flushCh    chan struct{}
 	mapWG      sync.WaitGroup
-	combWG     sync.WaitGroup
 	sealerDone chan struct{}
 	stopped    chan struct{} // closed when every goroutine has exited
 	started    bool
@@ -260,10 +256,8 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 		return nil, errors.New("stream: Config.Stream is required for a resident pipeline")
 	}
 	machine := cfg.ResolveMachine()
-	for _, cpu := range cfg.CPUGrant {
-		if cpu >= machine.NumCPUs() {
-			return nil, fmt.Errorf("stream: CPUGrant cpu %d out of range for %s (%d logical CPUs)", cpu, machine.Name, machine.NumCPUs())
-		}
+	if err := core.ValidateGrant(machine, cfg.CPUGrant); err != nil {
+		return nil, err
 	}
 	win := cfg.Stream.Resolved()
 	mappers := cfg.Mappers
@@ -287,16 +281,10 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	}
 	p.maxTs.Store(-1)
 	p.maxPane = -1
-	batch := cfg.BatchSize
-	if batch > cfg.QueueCapacity {
-		batch = cfg.QueueCapacity
-	}
-	p.batchA.Store(int64(batch))
 	if p.tel == nil && cfg.Tuner != nil {
 		// The tuner needs the sampler as its epoch clock even when the
 		// caller wants no report.
 		p.tel = telemetry.New()
-		p.ownTel = true
 	}
 	for i := 0; i < mappers; i++ {
 		q, err := spsc.New[streamPair[K, V]](cfg.QueueCapacity, cfg.Wait)
@@ -321,37 +309,56 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 	}
 	p.started = true
 	p.startAt = time.Now()
+	mirrors := make([]*telemetry.QueueMirror, len(p.queues)) // nil entries without telemetry
 	if p.tel != nil {
 		p.tel.BeginRun("stream")
-		p.mirrors = make([]*telemetry.QueueMirror, len(p.queues))
 		for i, q := range p.queues {
-			p.mirrors[i] = p.tel.RegisterQueue("mapper-"+strconv.Itoa(i), q)
+			mirrors[i] = p.tel.RegisterQueue("mapper-"+strconv.Itoa(i), q)
 		}
-	} else {
-		p.mirrors = make([]*telemetry.QueueMirror, len(p.queues)) // nil-safe mirrors
 	}
+	var tcfg *tuner.Config
 	if p.cfg.Tuner != nil {
-		p.driver = startStreamTuner(p.streamTunerArgs())
+		// The pool size is pinned (Min = Max): the controller keeps
+		// tuning batch and backoff across windows, never the pool.
+		resolved := core.ResolveTuner(*p.cfg.Tuner, p.mappers, p.queues[0].Cap())
+		resolved.MinCombiners, resolved.MaxCombiners = p.combiners, p.combiners
+		tcfg = &resolved
 	}
 	for i := 0; i < p.mappers; i++ {
 		p.mapWG.Add(1)
 		go p.runMapper(i)
 	}
-	assign := core.QueueAssignment(p.mappers, p.combiners)
-	for j := 0; j < p.combiners; j++ {
-		p.combWG.Add(1)
-		go p.runCombiner(j, assign[j])
+	folds := make([]func([]streamPair[K, V]), p.combiners)
+	for j := range folds {
+		folds[j] = p.paneFold(p.combs[j])
 	}
+	p.pool = core.StartCombiners(core.CombinerArgs[streamPair[K, V]]{
+		Ctx:     context.Background(),
+		Engine:  "stream",
+		Queues:  p.queues,
+		Mirrors: mirrors,
+		Folds:   folds,
+		Initial: p.combiners,
+		Batch:   p.cfg.BatchSize,
+		Tuner:   tcfg,
+		Plan:    p.plan,
+		Tel:     p.tel,
+		Hooks:   p.cfg.Hooks,
+		Abort:   &p.abort,
+		Fail:    p.fail,
+		// Rings stay open across input lulls, so an idle round forces
+		// short consumes; every consumed round may unblock a seal.
+		ForceAfterIdle: true,
+		Progress:       p.kickSealer,
+	})
 	go p.sealLoop()
 	// The janitor turns "every worker exited" into the stopped signal,
 	// for both the orderly Close path and the Cancel/failure path.
 	go func() {
 		p.mapWG.Wait()
-		p.combWG.Wait()
+		p.pool.Wait()
 		<-p.sealerDone
-		if p.driver != nil {
-			p.driver.stop()
-		}
+		p.pool.StopTuner()
 		var qs mr.QueueStats
 		for _, q := range p.queues {
 			qs.Add(q.Snapshot())
@@ -599,48 +606,15 @@ func (p *Pipeline[S, K, V, R]) runMapper(i int) {
 	}
 }
 
-// runCombiner is one resident combine worker: consume batches from its
-// assigned rings, folding each pane-tagged run into that pane's private
-// container. It exits when every assigned ring is closed and drained
-// (mappers close their rings on exit); on abort it discard-drains so
-// blocked producers unwedge.
-func (p *Pipeline[S, K, V, R]) runCombiner(j int, rng [2]int) {
-	defer p.combWG.Done()
-	labels := pprof.Labels("engine", "stream", "role", "combiner", "worker", strconv.Itoa(j))
-	ctx := pprof.WithLabels(context.Background(), labels)
-	pprof.SetGoroutineLabels(ctx)
-	defer pprof.SetGoroutineLabels(context.Background())
-
-	var tw *telemetry.Worker
-	if p.tel != nil {
-		tw = p.tel.RegisterWorker("combiner", j)
-	}
-	defer tw.SetState(telemetry.StateDone)
-	defer func() {
-		if r := recover(); r != nil {
-			p.fail(&mr.PanicError{Engine: "stream", Worker: fmt.Sprintf("combine worker %d", j), Value: r})
-			p.discardDrain(rng)
-		}
-	}()
-	if cpu := p.plan.CombinerCPU[j]; cpu >= 0 && affinity.Supported() {
-		unpin, _ := affinity.PinSelf(cpu)
-		defer unpin()
-	}
-
-	cs := p.combs[j]
-	mine := p.queues[rng[0]:rng[1]]
-	scratch := make([]container.KV[K, V], 0, int(p.batchA.Load()))
+// paneFold returns one combiner's fold: each consumed segment is split
+// into runs of one pane, and each run folds into that pane's private
+// container and counts toward the pane's conservation figure.
+func (p *Pipeline[S, K, V, R]) paneFold(cs *combinerState[K, V]) func([]streamPair[K, V]) {
+	var scratch []container.KV[K, V]
 	curPane := int64(math.MinInt64)
 	var curC container.Container[K, V]
 	var curPS *paneState
-	var combineHook func(int)
-	if p.cfg.Hooks != nil {
-		combineHook = p.cfg.Hooks.CombineBatch
-	}
-	apply := func(seg []streamPair[K, V]) {
-		if combineHook != nil {
-			combineHook(j)
-		}
+	return func(seg []streamPair[K, V]) {
 		for lo := 0; lo < len(seg); {
 			pane := seg[lo].pane
 			hi := lo + 1
@@ -658,72 +632,8 @@ func (p *Pipeline[S, K, V, R]) runCombiner(j int, rng [2]int) {
 			}
 			curC.UpdateBatch(scratch, p.spec.Combine)
 			curPS.folded.Add(uint64(hi - lo))
-			tw.AddCombined(hi - lo)
 			lo = hi
 		}
-		tw.AddBatches(1)
-	}
-
-	idleRounds := 0
-	for {
-		if p.abort.Load() {
-			p.discardDrain(rng)
-			return
-		}
-		consumed, open := 0, 0
-		batch := int(p.batchA.Load())
-		// An idle previous round forces short consumes: under sustained
-		// load combiners wait for full batches (§IV-C), but once input
-		// pauses — end of a window's traffic, pre-seal lull — buffered
-		// pairs must reach their pane containers so the seal quiesce
-		// check can pass.
-		force := idleRounds > 0
-		for qi, q := range mine {
-			if q.Drained() {
-				continue
-			}
-			open++
-			n := q.ConsumeBatch(batch, force || q.Closed(), apply)
-			consumed += n
-			p.mirrors[rng[0]+qi].StoreConsumer(q.ConsumerStats())
-		}
-		if open == 0 {
-			return
-		}
-		if consumed == 0 {
-			idleRounds++
-			tw.SetState(telemetry.StateIdle)
-			if idleRounds < 4 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(20 * time.Microsecond)
-			}
-		} else {
-			idleRounds = 0
-			tw.SetState(telemetry.StateWorking)
-			p.kickSealer()
-		}
-	}
-}
-
-// discardDrain empties the worker's rings without running user code so
-// producers blocked on full rings can exit, until every ring is closed
-// and drained.
-func (p *Pipeline[S, K, V, R]) discardDrain(rng [2]int) {
-	mine := p.queues[rng[0]:rng[1]]
-	for {
-		alive := false
-		for _, q := range mine {
-			if q.Drained() {
-				continue
-			}
-			alive = true
-			q.DiscardBatch(int(p.batchA.Load()))
-		}
-		if !alive {
-			return
-		}
-		runtime.Gosched()
 	}
 }
 
@@ -905,7 +815,7 @@ func (p *Pipeline[S, K, V, R]) Close(ctx context.Context) error {
 			// The flush signal must wait for the worker pools: the
 			// sealer treats flush mode as "everything is quiescent".
 			p.mapWG.Wait()
-			p.combWG.Wait()
+			p.pool.Wait()
 			p.flushing.Store(true)
 			close(p.flushCh)
 		}()
@@ -1005,6 +915,15 @@ func (p *Pipeline[S, K, V, R]) QueueStats() mr.QueueStats {
 		qs.BatchCalls = c.BatchCalls
 	}
 	return qs
+}
+
+// TunerReport returns the controller's decision log, or nil when the
+// session runs untuned.
+func (p *Pipeline[S, K, V, R]) TunerReport() *tuner.Report {
+	if p.pool == nil {
+		return nil
+	}
+	return p.pool.TunerReport()
 }
 
 // Uptime returns how long the session has been running.

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -87,66 +88,75 @@ func checkNoLeak(t *testing.T, before int) {
 // session ingests 3 chunks over time and serves 2 sealed tumbling
 // windows with exact element conservation, without restarting workers.
 func TestTumblingConservation(t *testing.T) {
-	before := runtime.NumGoroutine()
-	const keys = 16
-	p, err := New(countSpec(keys), testConfig(t, &mr.StreamSpec{Window: 1}))
-	if err != nil {
-		t.Fatal(err)
+	// Hooks arm the combiner pool's single-consumer guards on the rings.
+	for _, hooked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hooks=%v", hooked), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			const keys = 16
+			cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+			if hooked {
+				cfg.Hooks = &mr.Hooks{CombineBatch: func(int) {}}
+			}
+			p, err := New(countSpec(keys), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Start(); err != nil {
+				t.Fatal(err)
+			}
+			// Three chunks at ticks 0, 1, 2 with distinct element totals.
+			want := []uint64{4 * 100, 3 * 50, 2 * 25}
+			if _, err := p.Append(chunkOf(0, 4, 100)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Append(chunkOf(1, 3, 50)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Append(chunkOf(2, 2, 25)); err != nil {
+				t.Fatal(err)
+			}
+			// Watermark = 2, so windows 0 and 1 seal while the session stays
+			// open — resident workers, no teardown between windows.
+			waitSealed(t, p, 2)
+			if got := p.SealedCount(); got != 2 {
+				t.Fatalf("sealed windows before close = %d, want 2", got)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := p.Close(ctx); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			ws := p.Windows()
+			if len(ws) != 3 {
+				t.Fatalf("sealed windows after close = %d, want 3", len(ws))
+			}
+			var total uint64
+			for i, w := range ws {
+				if w.Index != int64(i) || w.Start != int64(i) || w.End != int64(i)+1 {
+					t.Fatalf("window %d bounds = [%d,%d) index %d", i, w.Start, w.End, w.Index)
+				}
+				if w.Elements != want[i] {
+					t.Errorf("window %d elements = %d, want %d (conservation violated)", i, w.Elements, want[i])
+				}
+				var sum uint64
+				for _, pr := range w.Pairs {
+					sum += pr.Value
+				}
+				if sum != want[i] {
+					t.Errorf("window %d pair-value sum = %d, want %d", i, sum, want[i])
+				}
+				total += w.Elements
+			}
+			if total != want[0]+want[1]+want[2] {
+				t.Errorf("total elements across windows = %d, want %d", total, want[0]+want[1]+want[2])
+			}
+			st := p.Stats()
+			if st.Chunks != 3 || st.Splits != 9 {
+				t.Errorf("stats chunks=%d splits=%d, want 3/9", st.Chunks, st.Splits)
+			}
+			checkNoLeak(t, before)
+		})
 	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// Three chunks at ticks 0, 1, 2 with distinct element totals.
-	want := []uint64{4 * 100, 3 * 50, 2 * 25}
-	if _, err := p.Append(chunkOf(0, 4, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Append(chunkOf(1, 3, 50)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Append(chunkOf(2, 2, 25)); err != nil {
-		t.Fatal(err)
-	}
-	// Watermark = 2, so windows 0 and 1 seal while the session stays
-	// open — resident workers, no teardown between windows.
-	waitSealed(t, p, 2)
-	if got := p.SealedCount(); got != 2 {
-		t.Fatalf("sealed windows before close = %d, want 2", got)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := p.Close(ctx); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	ws := p.Windows()
-	if len(ws) != 3 {
-		t.Fatalf("sealed windows after close = %d, want 3", len(ws))
-	}
-	var total uint64
-	for i, w := range ws {
-		if w.Index != int64(i) || w.Start != int64(i) || w.End != int64(i)+1 {
-			t.Fatalf("window %d bounds = [%d,%d) index %d", i, w.Start, w.End, w.Index)
-		}
-		if w.Elements != want[i] {
-			t.Errorf("window %d elements = %d, want %d (conservation violated)", i, w.Elements, want[i])
-		}
-		var sum uint64
-		for _, pr := range w.Pairs {
-			sum += pr.Value
-		}
-		if sum != want[i] {
-			t.Errorf("window %d pair-value sum = %d, want %d", i, sum, want[i])
-		}
-		total += w.Elements
-	}
-	if total != want[0]+want[1]+want[2] {
-		t.Errorf("total elements across windows = %d, want %d", total, want[0]+want[1]+want[2])
-	}
-	st := p.Stats()
-	if st.Chunks != 3 || st.Splits != 9 {
-		t.Errorf("stats chunks=%d splits=%d, want 3/9", st.Chunks, st.Splits)
-	}
-	checkNoLeak(t, before)
 }
 
 // TestSlidingWindows checks pane sharing: W=2,S=1 windows overlap by

@@ -193,7 +193,7 @@ func (w *Worker) StoreProducer(pushes, failedPush, sleepMicros uint64) {
 
 // QueueMirror holds one queue's consumer-side counter mirrors. The spsc
 // consumer counters are owned by the consuming goroutine and unreadable
-// from anywhere else while the run is live; the elastic combiner stores
+// from anywhere else while the run is live; each combiner slot stores
 // cumulative ConsumerStats values here once per polling round. Ownership
 // handoffs between combiners are serialized by the pool lock, so the
 // stores never race even as a queue changes consumers; readers (the

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,15 +36,39 @@ func TestSchedulerConcurrentJobs(t *testing.T) {
 		}
 	}
 
-	h1, err := ramr.Submit(sc, wcSpec(8), cfg, ramr.SubmitOptions{Priority: ramr.PriorityHigh, MaxCPUs: 8})
+	// Each job's first Map call waits until all three jobs are running,
+	// so their grants are held at once and must be disjoint. Without it a
+	// fast job can finish and free its CPUs before a later one is granted.
+	var running atomic.Int32
+	allRunning := make(chan struct{})
+	overlapping := func() *ramr.Spec[string, string, int, int] {
+		spec := wcSpec(8)
+		inner := spec.Map
+		var once sync.Once
+		spec.Map = func(s string, emit func(string, int)) {
+			once.Do(func() {
+				if running.Add(1) == 3 {
+					close(allRunning)
+				}
+				select {
+				case <-allRunning:
+				case <-time.After(10 * time.Second):
+				}
+			})
+			inner(s, emit)
+		}
+		return spec
+	}
+
+	h1, err := ramr.Submit(sc, overlapping(), cfg, ramr.SubmitOptions{Priority: ramr.PriorityHigh, MaxCPUs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := ramr.Submit(sc, wcSpec(8), cfg, ramr.SubmitOptions{Priority: ramr.PriorityNormal, MaxCPUs: 8})
+	h2, err := ramr.Submit(sc, overlapping(), cfg, ramr.SubmitOptions{Priority: ramr.PriorityNormal, MaxCPUs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3, err := ramr.Submit(sc, wcSpec(8), cfg, ramr.SubmitOptions{Priority: ramr.PriorityLow, MaxCPUs: 8, Phoenix: true})
+	h3, err := ramr.Submit(sc, overlapping(), cfg, ramr.SubmitOptions{Priority: ramr.PriorityLow, MaxCPUs: 8, Phoenix: true})
 	if err != nil {
 		t.Fatal(err)
 	}
